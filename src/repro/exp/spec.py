@@ -162,18 +162,29 @@ def _trial_ref(fn: Callable) -> str:
     return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
 
 
-def _trial_source_digest(fn: Callable) -> str:
-    """SHA-256 of the trial function's source (best effort).
+#: Source digest per function object.  The code a function runs cannot
+#: change without a re-import, and a reload makes a new function object
+#: (which misses), so reading the source once per function is enough.
+_SOURCE_DIGESTS: Dict[Callable, str] = {}
 
-    Editing the measurement code silently invalidates stored results; when
-    the source is unavailable (REPL, frozen app) the digest degrades to the
-    import reference alone.
+
+def _trial_source_digest(fn: Callable) -> str:
+    """SHA-256 of the trial function's source (best effort, memoised).
+
+    Editing the measurement code invalidates stored results from the next
+    process start or module reload on; when the source is unavailable
+    (REPL, frozen app) the digest degrades to the import reference alone.
     """
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        return ""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    digest = _SOURCE_DIGESTS.get(fn)
+    if digest is None:
+        try:
+            source = inspect.getsource(fn)
+        except (OSError, TypeError):
+            digest = ""
+        else:
+            digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        _SOURCE_DIGESTS[fn] = digest
+    return digest
 
 
 def _spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:

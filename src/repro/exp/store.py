@@ -76,6 +76,11 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
+def _render(payload: Dict[str, Any]) -> str:
+    """The exact text the store writes for a payload."""
+    return json.dumps(payload, indent=1)
+
+
 def file_digest(path: Path) -> Optional[str]:
     """blake2b hex digest of a file's exact bytes (``None`` if unreadable).
 
@@ -122,7 +127,11 @@ class ResultStore:
     def cell_path(self, spec: "spec_mod.ExperimentSpec",
                   trial: "spec_mod.Trial") -> Path:
         """The file one cell's values live in (may not exist yet)."""
-        digest = spec_mod.cell_hash(spec, trial)
+        return self._cell_file(spec, trial, spec_mod.cell_hash(spec, trial))
+
+    def _cell_file(self, spec: "spec_mod.ExperimentSpec",
+                   trial: "spec_mod.Trial", digest: str) -> Path:
+        """:meth:`cell_path` for an already computed cell hash."""
         slug = spec_mod.cell_slug(trial.key)
         return self.spec_dir(spec) / f"{slug}-{digest[:12]}.json"
 
@@ -131,20 +140,18 @@ class ResultStore:
         digest = spec_mod.spec_hash(spec)
         return self.root / f"{spec.name}-{digest[:16]}.json"
 
-    # legacy alias: callers predating the cell-granular layout
-    path_for = legacy_path_for
-
     # -- atomic writes -----------------------------------------------------
 
-    def _write_atomic(self, path: Path, payload: Dict[str, Any]) -> Path:
-        """Write a payload through a temp file + rename (crash-safe)."""
+    @staticmethod
+    def _write_atomic(path: Path, text: str) -> Path:
+        """Write rendered JSON through a temp file + rename (crash-safe)."""
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.stem, suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(payload, tmp, indent=1)
+                tmp.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -159,10 +166,9 @@ class ResultStore:
     def load_cell(self, spec: "spec_mod.ExperimentSpec",
                   trial: "spec_mod.Trial") -> Optional[Any]:
         """Stored values of one cell, or ``None`` on miss/corruption."""
-        payload = _read_json(self.cell_path(spec, trial))
-        if payload is None:
-            return None
-        if payload.get("cell_hash") != spec_mod.cell_hash(spec, trial):
+        digest = spec_mod.cell_hash(spec, trial)
+        payload = _read_json(self._cell_file(spec, trial, digest))
+        if payload is None or payload.get("cell_hash") != digest:
             return None
         if "values" not in payload:
             return None
@@ -177,13 +183,15 @@ class ResultStore:
                   trial: "spec_mod.Trial", values: Any,
                   meta: Optional[Dict[str, Any]] = None) -> Path:
         """Atomically persist one completed cell; returns the cell path."""
+        digest = spec_mod.cell_hash(spec, trial)
         payload = {
-            "cell_hash": spec_mod.cell_hash(spec, trial),
+            "cell_hash": digest,
             "fingerprint": spec_mod.cell_fingerprint(spec, trial),
             "meta": dict(meta or {}),
             "values": values,
         }
-        return self._write_atomic(self.cell_path(spec, trial), payload)
+        return self._write_atomic(self._cell_file(spec, trial, digest),
+                                  _render(payload))
 
     def load_cells(self, spec: "spec_mod.ExperimentSpec") -> Dict[str, Any]:
         """Every stored cell of ``spec`` — possibly a partial subset.
@@ -211,22 +219,30 @@ class ResultStore:
 
     def write_manifest(self, spec: "spec_mod.ExperimentSpec",
                        meta: Optional[Dict[str, Any]] = None) -> Path:
-        """Record the spec-level index over the cells present on disk."""
+        """Record the spec-level index over the cells present on disk.
+
+        A manifest that already holds exactly these bytes (a warm re-run
+        with the same meta) is left untouched.
+        """
         cells: Dict[str, Dict[str, str]] = {}
         for trial in spec.trials:
-            path = self.cell_path(spec, trial)
+            digest = spec_mod.cell_hash(spec, trial)
+            path = self._cell_file(spec, trial, digest)
             if path.is_file():
-                cells[trial.key] = {
-                    "file": path.name,
-                    "hash": spec_mod.cell_hash(spec, trial),
-                }
-        payload = {
+                cells[trial.key] = {"file": path.name, "hash": digest}
+        text = _render({
             "hash": spec_mod.spec_hash(spec),
             "fingerprint": spec_mod.fingerprint(spec),
             "meta": dict(meta or {}),
             "cells": cells,
-        }
-        return self._write_atomic(self.manifest_path(spec), payload)
+        })
+        path = self.manifest_path(spec)
+        try:
+            if path.read_text(encoding="utf-8") == text:
+                return path
+        except (OSError, ValueError):
+            pass
+        return self._write_atomic(path, text)
 
     # -- whole-spec API ----------------------------------------------------
 

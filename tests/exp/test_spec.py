@@ -1,12 +1,17 @@
 """Unit tests for experiment specs: seed derivation, hashing, validation."""
 
+import collections
 import hashlib
+import importlib
+import inspect
+import sys
 import zlib
 
 import pytest
 
 from repro import exp
 from repro.eval import table3
+from repro.exp import spec as spec_mod
 from repro.exp.errors import SpecError
 
 
@@ -179,6 +184,72 @@ def test_cell_slug_is_filesystem_safe():
     assert exp.cell_slug("deploy:pbr+tr") == "deploy_pbr+tr"
     assert exp.cell_slug("///") == "cell"
     assert len(exp.cell_slug("x" * 200)) == 48
+
+
+# -- source digest memo --------------------------------------------------------
+
+
+def test_source_is_read_once_per_function_across_cold_and_warm_runs(
+        tmp_path, monkeypatch):
+    # start from an empty memo so the count below is exact, not vacuous
+    monkeypatch.setattr(spec_mod, "_SOURCE_DIGESTS", {})
+    reads = collections.Counter()
+    getsource = inspect.getsource
+
+    def counting_getsource(obj):
+        reads[obj] += 1
+        return getsource(obj)
+
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    spec = _spec(
+        reduce=_sum_reduce,
+        trials=tuple(exp.Trial(f"c{i}", {"x": i}, (i, i + 100))
+                     for i in range(12)),
+    )
+    store = exp.ResultStore(tmp_path)
+    cold = exp.run(spec, jobs=1, store=store)
+    warm = exp.run(spec, jobs=1, store=store)
+    assert cold.executed == 24 and warm.cached and warm.executed == 0
+    assert reads == {_echo: 1, _sum_reduce: 1}
+
+
+_RELOAD_MODULE = "spec_memo_reload_trial"
+
+_RELOAD_SOURCE = """
+def trial(seed, params):
+    return {body}
+"""
+
+
+def test_reloaded_trial_source_changes_the_cell_hash(tmp_path, monkeypatch,
+                                                     request):
+    source = tmp_path / f"{_RELOAD_MODULE}.py"
+    source.write_text(_RELOAD_SOURCE.format(body="seed"), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    request.addfinalizer(lambda: sys.modules.pop(_RELOAD_MODULE, None))
+    module = importlib.import_module(_RELOAD_MODULE)
+
+    def build():
+        return exp.ExperimentSpec(
+            name="reload", trial=module.trial,
+            trials=(exp.Trial("a", {}, (1, 2)),),
+        )
+
+    store = exp.ResultStore(tmp_path / "store")
+    before = build()
+    old_hash = exp.cell_hash(before, before.cell("a"))
+    assert exp.run(before, jobs=1, store=store).results == {"a": [1, 2]}
+    assert exp.run(build(), jobs=1, store=store).cached
+
+    # a body of another length: linecache revalidates by mtime and size
+    source.write_text(_RELOAD_SOURCE.format(body="seed * 1000"),
+                      encoding="utf-8")
+    module = importlib.reload(module)
+    after = build()
+    assert exp.cell_hash(after, after.cell("a")) != old_hash
+    rerun = exp.run(after, jobs=1, store=store)
+    assert rerun.executed == 2 and not rerun.cached
+    assert rerun.results == {"a": [1000, 2000]}
 
 
 # -- validation ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Result-store tests: cell layout, cache hits, legacy read-through, GC."""
 
 import json
+import os
+import shutil
 
 from repro import exp
 from repro.eval import figure9
@@ -51,6 +53,60 @@ def test_store_layout_is_one_file_per_cell_plus_manifest(tmp_path):
     manifest = json.loads((spec_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert manifest["hash"] == exp.spec_hash(spec)
     assert set(manifest["cells"]) == {"a", "b"}
+
+
+def _age(path):
+    """Backdate ``path`` so any rewrite shows in its ``st_mtime_ns``."""
+    os.utime(path, ns=(10**9, 10**9))
+    return path.stat().st_mtime_ns
+
+
+def _assert_as_written_fresh(store, spec, tmp_path):
+    """The manifest's bytes equal what ``write_manifest`` writes into an
+    empty store holding the same cell files."""
+    manifest = store.manifest_path(spec)
+    empty = exp.ResultStore(tmp_path / "empty")
+    spec_dir = empty.spec_dir(spec)
+    spec_dir.mkdir(parents=True)
+    for trial in spec.trials:
+        shutil.copy(store.cell_path(spec, trial), spec_dir)
+    meta = json.loads(manifest.read_text(encoding="utf-8"))["meta"]
+    written = empty.write_manifest(spec, meta=meta)
+    assert written.read_bytes() == manifest.read_bytes()
+
+
+def test_warm_rerun_leaves_an_unchanged_manifest_untouched(tmp_path):
+    store = exp.ResultStore(tmp_path / "store")
+    spec = _spec()
+    exp.run(spec, jobs=1, store=store)
+    exp.run(spec, jobs=1, store=store)  # meta moves from cold to warm
+    manifest = store.manifest_path(spec)
+    data, stamp = manifest.read_bytes(), _age(manifest)
+    assert exp.run(spec, jobs=1, store=store).cached
+    assert manifest.read_bytes() == data
+    assert manifest.stat().st_mtime_ns == stamp
+    _assert_as_written_fresh(store, spec, tmp_path)
+
+
+def test_manifest_with_other_meta_or_bytes_is_rewritten(tmp_path):
+    store = exp.ResultStore(tmp_path / "store")
+    spec = _spec()
+    exp.run(spec, jobs=1, store=store)
+    exp.run(spec, jobs=1, store=store)
+    manifest = store.manifest_path(spec)
+    warm = manifest.read_bytes()
+    stamp = _age(manifest)
+    exp.run(spec, jobs=1, store=store, fresh=True)  # elapsed_s is not 0
+    assert manifest.read_bytes() != warm
+    assert manifest.stat().st_mtime_ns != stamp
+    _assert_as_written_fresh(store, spec, tmp_path)
+
+    # the same dict in other bytes is rewritten, not skipped
+    exp.run(spec, jobs=1, store=store)
+    compact = json.dumps(json.loads(manifest.read_text(encoding="utf-8")))
+    manifest.write_text(compact, encoding="utf-8")
+    exp.run(spec, jobs=1, store=store)
+    assert manifest.read_bytes() == warm
 
 
 def test_store_round_trip_on_a_real_simulation(tmp_path):
